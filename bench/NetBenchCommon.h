@@ -15,8 +15,8 @@
 ///    responses are classified per degradation tier.
 ///
 /// Both build requests from a DSL corpus and report latency percentiles.
-/// Used by bench/load_gen (the CLI) and the server sections of
-/// bench/perf_report.
+/// Used by bench/load_gen (the CLI) and the socket scenarios of
+/// bench/service_bench.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,8 +3,8 @@
 /// \file
 /// Shared harness for the scheduling-service benchmarks: a deterministic
 /// request corpus (every suite kernel plus seeded random DSL sources) and
-/// a cold/warm throughput measurement over a SchedulingService, reused by
-/// bench/service_bench and the service section of bench/perf_report.
+/// a cold/warm throughput measurement over a SchedulingService, used by
+/// bench/service_bench and the DSL round-trip tests.
 ///
 //===----------------------------------------------------------------------===//
 

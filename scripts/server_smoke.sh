@@ -78,7 +78,7 @@ run_open_load() {
   # Poisson slack traffic against the warm server. Everything must be
   # answered (no errors, nothing shed) with a sub-second p99 — a loose
   # bound that still catches event-loop stalls; the tight tail gate lives
-  # in perf_report's full mode.
+  # in service_bench's full mode.
   "$LOADGEN" --port="$PORT" --open --connections=200 --rps=500 \
     --requests=2000 --engine=slack --corpus=0 --json \
     | tee "$WORK/open.json"

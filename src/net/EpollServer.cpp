@@ -299,8 +299,10 @@ void EpollServer::acceptPending(Shard &S) {
     }
     if (S.Draining ||
         ActiveConns.load(std::memory_order_relaxed) >= Config.MaxConnections) {
-      ::close(Fd);
+      // Count before closing: a client that sees the EOF must also see
+      // the count.
       Service.metrics().inc("net_rejected");
+      ::close(Fd);
       continue;
     }
     const int One = 1;

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The one --engine flag grammar shared by every CLI tool (exact_gap,
-/// perf_report, scheduler_comparison, schedule_service, schedule_server),
+/// irregular_gap, scheduler_comparison, schedule_service, schedule_server),
 /// so the spellings, the "both" sweep selector, and the exact-budget
 /// knobs cannot drift between tools:
 ///

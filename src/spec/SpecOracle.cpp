@@ -114,9 +114,10 @@ IrregularCase lsms::runIrregularCase(const LoopBody &Body,
   return Case;
 }
 
-IrregularReport
-lsms::aggregateIrregularCases(const IrregularOptions &Options,
-                              std::vector<IrregularCase> Cases) {
+namespace {
+
+IrregularReport aggregateIrregularCases(const IrregularOptions &Options,
+                                        std::vector<IrregularCase> Cases) {
   IrregularReport Report;
   Report.Config = Options;
   Report.Cases = std::move(Cases);
@@ -157,6 +158,8 @@ lsms::aggregateIrregularCases(const IrregularOptions &Options,
   }
   return Report;
 }
+
+} // namespace
 
 IrregularReport lsms::runIrregularSweep(const IrregularOptions &Options) {
   const std::vector<LoopBody> Suite = buildIrregularSuite(

@@ -130,11 +130,6 @@ IrregularCase runIrregularCase(const LoopBody &Body,
 /// Deterministic: depends only on \p Options.
 IrregularReport runIrregularSweep(const IrregularOptions &Options = {});
 
-/// Aggregates \p Cases into a report (exposed so tests and perf_report can
-/// sweep their own suites — e.g. the hand-written kernels).
-IrregularReport aggregateIrregularCases(const IrregularOptions &Options,
-                                        std::vector<IrregularCase> Cases);
-
 /// Prints the per-loop table and summary counters. Deterministic (no
 /// timings), so the output can serve as a golden regression reference.
 void printIrregularReport(std::ostream &OS, const IrregularReport &Report);

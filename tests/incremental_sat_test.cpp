@@ -204,13 +204,16 @@ TEST(PortfolioParity, SeededRandomLoops) {
 }
 
 TEST(PortfolioParity, OracleReportByteIdenticalAcrossJobs) {
+  // The default 50-loop differential sweep on the portfolio engine.
   OracleOptions Options;
-  Options.NumLoops = 12;
   Options.Exact.Engine = ExactEngineKind::Portfolio;
   std::string First;
   for (const int Jobs : {1, 4, 16}) {
     Options.Jobs = Jobs;
     const OracleReport Report = runOracle(Options);
+    // The certified-MaxLive ratchet: the sweep must keep certifying at
+    // least 23 of its 50 loops.
+    EXPECT_GE(Report.MaxLiveCertified, 23) << "jobs=" << Jobs;
     std::ostringstream OS;
     printOracleReport(OS, Report);
     if (First.empty())

@@ -157,8 +157,15 @@ TEST(IrregularReport, ByteIdenticalAcrossJobCounts) {
   const int JobCounts[3] = {1, 2, 0}; // 0 = hardware default
   for (int K = 0; K < 3; ++K) {
     Options.Jobs = JobCounts[K];
+    const IrregularReport Report = runIrregularSweep(Options);
+    // Correctness at this size; the count floors (strict gaps, wins) are
+    // pinned by the full-size golden report.
+    EXPECT_EQ(Report.ValidationFailures, 0);
+    EXPECT_EQ(Report.TraceFailures, 0);
+    EXPECT_EQ(Report.Comparable, static_cast<int>(Report.Cases.size()));
+    EXPECT_EQ(Report.SpecAtOrBelowCons, Report.Comparable);
     std::ostringstream OS;
-    printIrregularReport(OS, runIrregularSweep(Options));
+    printIrregularReport(OS, Report);
     Reports[K] = OS.str();
   }
   EXPECT_EQ(Reports[0], Reports[1]);
