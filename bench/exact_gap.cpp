@@ -4,162 +4,28 @@
 /// 2-calibrated random loops. Deterministic from a fixed seed, so the
 /// output can serve as a regression reference.
 ///
-/// Usage: exact_gap [num_loops] [max_ops] [seed] [--jobs N] [--engine E]
+/// Usage: exact_gap [--loops N] [--max-ops N] [--seed S] [--jobs N]
+///                  [--engine bnb|sat|portfolio] [--*-budget=N]
 ///
 /// --engine selects the exact decision procedure: bnb (branch-and-bound,
-/// the default), sat (the CDCL encoding), portfolio (the staged bnb/sat
-/// combination), or both — which runs the sweep once per engine, bnb and
-/// sat and portfolio alike, and reports any verdict or II disagreement
-/// between them (there must be none; they decide the same question).
-///
-/// The sweep fans out across worker threads (--jobs, or LSMS_JOBS, or the
-/// hardware by default) with results merged in loop order, so the report
-/// is byte-identical at every job count.
+/// the default), sat (the CDCL encoding), or portfolio (the staged bnb/sat
+/// combination). The sweep fans out across worker threads (--jobs, or
+/// LSMS_JOBS, or the hardware by default) with results merged in loop
+/// order, so the report is byte-identical at every job count. Exits
+/// nonzero when any schedule fails validation.
 //===----------------------------------------------------------------------===//
 
-#include "exact/Oracle.h"
-#include "service/EngineFlag.h"
+#include "SweepArgs.h"
+#include "oracle/ExactOracle.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <vector>
 
 using namespace lsms;
 
-namespace {
-
-/// Compares the two engines' sweeps case by case; returns the number of
-/// disagreements printed. Timeout on either side proves nothing and is
-/// skipped (budgets, not verdicts, differ there). Beyond the feasibility
-/// verdict and the minimal II, certified MaxLive values must be mutually
-/// consistent: same-kind certificates name the same minimum (family or
-/// MinAvg), and a MinAvg-met global value can only sit at or below a
-/// certified family minimum, so any violation means one engine's proof
-/// is wrong.
-int reportDisagreements(std::ostream &OS, const OracleReport &Bnb,
-                        const OracleReport &Sat, const char *NameB,
-                        const char *NameS) {
-  int Disagreements = 0;
-  for (size_t I = 0; I < Bnb.Cases.size() && I < Sat.Cases.size(); ++I) {
-    const OracleCase &B = Bnb.Cases[I];
-    const OracleCase &S = Sat.Cases[I];
-    if (B.Status == ExactStatus::Timeout || S.Status == ExactStatus::Timeout)
-      continue;
-    const bool BFound = B.Status == ExactStatus::Optimal ||
-                        B.Status == ExactStatus::Feasible;
-    const bool SFound = S.Status == ExactStatus::Optimal ||
-                        S.Status == ExactStatus::Feasible;
-    if (BFound != SFound || (BFound && B.ExactII != S.ExactII)) {
-      OS << "  " << B.Name << ": " << NameB << " "
-         << exactStatusName(B.Status) << " II=" << B.ExactII << " vs "
-         << NameS << " " << exactStatusName(S.Status) << " II=" << S.ExactII
-         << "\n";
-      ++Disagreements;
-      continue;
-    }
-    const bool SameKind =
-        maxLiveCertificatesAgree(B.Certificate, S.Certificate) &&
-        B.Certificate != MaxLiveCertificate::None;
-    if (!certifiedMaxLiveConsistent(B.ExactMaxLive, B.Certificate,
-                                    S.ExactMaxLive, S.Certificate) ||
-        (SameKind && B.ExactMaxLive != S.ExactMaxLive)) {
-      OS << "  " << B.Name << ": certified MaxLive inconsistent: " << NameB
-         << " " << B.ExactMaxLive << " ("
-         << maxLiveCertificateName(B.Certificate) << ") vs " << NameS << " "
-         << S.ExactMaxLive << " (" << maxLiveCertificateName(S.Certificate)
-         << ")\n";
-      ++Disagreements;
-    }
-  }
-  return Disagreements;
-}
-
-int validationFailures(const OracleReport &Report, const char *Engine) {
-  int Bad = 0;
-  for (const OracleCase &Case : Report.Cases) {
-    if (!Case.HeurError.empty()) {
-      std::cerr << Case.Name << ": heuristic schedule invalid: "
-                << Case.HeurError << "\n";
-      ++Bad;
-    }
-    if (!Case.ExactError.empty()) {
-      std::cerr << Case.Name << ": exact (" << Engine
-                << ") schedule invalid: " << Case.ExactError << "\n";
-      ++Bad;
-    }
-  }
-  return Bad;
-}
-
-} // namespace
-
 int main(int Argc, char **Argv) {
   OracleOptions Options;
-  bool Both = false;
-  std::vector<const char *> Positional;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc) {
-      Options.Jobs = std::atoi(Argv[++I]);
-      continue;
-    }
-    if (std::strcmp(Argv[I], "--engine") == 0 && I + 1 < Argc) {
-      EngineSelection Sel;
-      std::string EngineErr;
-      if (!parseEngineSelection(Argv[++I], /*AllowSlack=*/false,
-                                /*AllowAll=*/true, Sel, EngineErr)) {
-        std::cerr << "exact_gap: " << EngineErr << "\n";
-        return 1;
-      }
-      Both = Sel.All;
-      if (!Sel.All)
-        Options.Exact.Engine = Sel.Exact;
-      continue;
-    }
-    if (applyExactBudgetFlag(Argv[I], Options.Exact))
-      continue;
-    Positional.push_back(Argv[I]);
-  }
-  if (Positional.size() > 0)
-    Options.NumLoops = std::atoi(Positional[0]);
-  if (Positional.size() > 1)
-    Options.MaxOps = std::atoi(Positional[1]);
-  if (Positional.size() > 2)
-    Options.Seed = std::strtoull(Positional[2], nullptr, 0);
-  if (Options.NumLoops <= 0 || Options.MaxOps < Options.MinOps) {
-    std::cerr << "usage: exact_gap [num_loops] [max_ops] [seed] [--jobs N] "
-                 "[--engine bnb|sat|portfolio|both]\n";
+  if (!parseSweepArgs(Argc, Argv, "exact_gap", Options, &Options.Exact))
     return 1;
-  }
-
-  if (Both) {
-    OracleOptions SatOptions = Options;
-    OracleOptions PortfolioOptions = Options;
-    Options.Exact.Engine = ExactEngineKind::BranchAndBound;
-    SatOptions.Exact.Engine = ExactEngineKind::Sat;
-    PortfolioOptions.Exact.Engine = ExactEngineKind::Portfolio;
-    const OracleReport Bnb = runOracle(Options);
-    const OracleReport Sat = runOracle(SatOptions);
-    const OracleReport Pf = runOracle(PortfolioOptions);
-    std::cout << "Slack heuristic vs exact modulo scheduler ("
-              << Bnb.Cases.size() << " random loops, <= " << Options.MaxOps
-              << " ops, seed " << Options.Seed << ", engine bnb)\n\n";
-    printOracleReport(std::cout, Bnb);
-    std::cout << "\nCross-engine check (bnb vs sat vs portfolio, "
-              << Sat.Cases.size() << " loops):\n";
-    const int Disagreements =
-        reportDisagreements(std::cout, Bnb, Sat, "bnb", "sat") +
-        reportDisagreements(std::cout, Bnb, Pf, "bnb", "portfolio") +
-        reportDisagreements(std::cout, Sat, Pf, "sat", "portfolio");
-    std::cout << (Disagreements == 0
-                      ? "  engines agree on every non-timeout verdict\n"
-                      : "")
-              << "  disagreements: " << Disagreements << "\n";
-    const int Bad = validationFailures(Bnb, "bnb") +
-                    validationFailures(Sat, "sat") +
-                    validationFailures(Pf, "portfolio");
-    return Disagreements == 0 && Bad == 0 ? 0 : 1;
-  }
 
   const OracleReport Report = runOracle(Options);
   std::cout << "Slack heuristic vs exact modulo scheduler ("
@@ -171,8 +37,5 @@ int main(int Argc, char **Argv) {
     std::cout << ", engine " << exactEngineName(Options.Exact.Engine);
   std::cout << ")\n\n";
   printOracleReport(std::cout, Report);
-
-  const int Bad =
-      validationFailures(Report, exactEngineName(Options.Exact.Engine));
-  return Bad == 0 ? 0 : 1;
+  return printFindings(std::cerr, Report.Cases) == 0 ? 0 : 1;
 }

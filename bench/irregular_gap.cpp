@@ -7,53 +7,23 @@
 /// rates. Deterministic from a fixed seed, so the output can serve as a
 /// regression reference.
 ///
-/// Usage: irregular_gap [num_loops] [max_ops] [seed] [--jobs N] [--engine E]
+/// Usage: irregular_gap [--loops N] [--max-ops N] [--seed S] [--jobs N]
+///                      [--engine bnb|sat|portfolio] [--*-budget=N]
+///
+/// Exits nonzero on any validation, parity or trace finding.
 //===----------------------------------------------------------------------===//
 
-#include "service/EngineFlag.h"
-#include "spec/SpecOracle.h"
+#include "SweepArgs.h"
+#include "oracle/SpecOracle.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <vector>
 
 using namespace lsms;
 
 int main(int Argc, char **Argv) {
   IrregularOptions Options;
-  std::vector<const char *> Positional;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc) {
-      Options.Jobs = std::atoi(Argv[++I]);
-      continue;
-    }
-    if (std::strcmp(Argv[I], "--engine") == 0 && I + 1 < Argc) {
-      EngineSelection Sel;
-      std::string EngineErr;
-      if (!parseEngineSelection(Argv[++I], /*AllowSlack=*/false,
-                                /*AllowAll=*/false, Sel, EngineErr)) {
-        std::cerr << "irregular_gap: " << EngineErr << "\n";
-        return 1;
-      }
-      Options.Exact.Engine = Sel.Exact;
-      continue;
-    }
-    if (applyExactBudgetFlag(Argv[I], Options.Exact))
-      continue;
-    Positional.push_back(Argv[I]);
-  }
-  if (Positional.size() > 0)
-    Options.NumLoops = std::atoi(Positional[0]);
-  if (Positional.size() > 1)
-    Options.MaxOps = std::atoi(Positional[1]);
-  if (Positional.size() > 2)
-    Options.Seed = std::strtoull(Positional[2], nullptr, 0);
-  if (Options.NumLoops <= 0 || Options.MaxOps <= 0) {
-    std::cerr << "usage: irregular_gap [num_loops] [max_ops] [seed] "
-                 "[--jobs N] [--engine bnb|sat|portfolio]\n";
+  if (!parseSweepArgs(Argc, Argv, "irregular_gap", Options, &Options.Exact))
     return 1;
-  }
 
   const IrregularReport Report = runIrregularSweep(Options);
   std::cout << "Conservative vs speculative scheduling on irregular loops ("
@@ -65,30 +35,5 @@ int main(int Argc, char **Argv) {
     std::cout << ", engine " << exactEngineName(Options.Exact.Engine);
   std::cout << ")\n\n";
   printIrregularReport(std::cout, Report);
-
-  int Bad = 0;
-  for (const IrregularCase &Case : Report.Cases) {
-    if (!Case.ConsError.empty()) {
-      std::cerr << Case.Name
-                << ": conservative schedule invalid: " << Case.ConsError
-                << "\n";
-      ++Bad;
-    }
-    if (!Case.SpecError.empty()) {
-      std::cerr << Case.Name
-                << ": speculative schedule invalid: " << Case.SpecError
-                << "\n";
-      ++Bad;
-    }
-    if (!Case.TraceError.empty()) {
-      std::cerr << Case.Name << ": " << Case.TraceError << "\n";
-      ++Bad;
-    }
-    if (Case.IIGapValid && Case.IIGap < 0) {
-      std::cerr << Case.Name << ": speculative II " << Case.SpecII
-                << " exceeds conservative II " << Case.ConsII << "\n";
-      ++Bad;
-    }
-  }
-  return Bad == 0 ? 0 : 1;
+  return printFindings(std::cerr, Report.Cases) == 0 ? 0 : 1;
 }

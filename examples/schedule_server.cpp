@@ -60,7 +60,7 @@ void usage() {
       << "usage: schedule_server [--port=N] [--bind=ADDR] [--jobs=N]\n"
          "                       [--workers=N] [--io-shards=N]\n"
          "                       [--store=PATH]\n"
-         "                       [--engine=" << engineFlagChoices(true, false)
+         "                       [--engine=" << engineFlagChoices(true)
       << "]\n"
          "                       [--max-queue=N] [--slack-queue=N]\n"
          "                       [--no-cached-fallback] [--max-conns=N]\n"
@@ -140,8 +140,8 @@ int main(int Argc, char **Argv) {
   if (!EngineName.empty()) {
     EngineSelection Sel;
     std::string EngineErr;
-    if (!parseEngineSelection(EngineName, /*AllowSlack=*/true,
-                              /*AllowAll=*/false, Sel, EngineErr)) {
+    if (!parseEngineSelection(EngineName, /*AllowSlack=*/true, Sel,
+                              EngineErr)) {
       std::cerr << "schedule_server: " << EngineErr << "\n";
       return 2;
     }

@@ -35,7 +35,7 @@ namespace {
 void usage() {
   std::cerr << "usage: schedule_service [--jobs=N] [--cache-capacity=N]\n"
                "                        [--engine="
-            << engineFlagChoices(true, false)
+            << engineFlagChoices(true)
             << "]\n"
                "                        [--node-budget=N]\n"
                "                        [--sat-conflict-budget=N]\n"
@@ -88,8 +88,8 @@ int main(int Argc, char **Argv) {
   if (!DefaultEngine.empty()) {
     EngineSelection Sel;
     std::string EngineErr;
-    if (!parseEngineSelection(DefaultEngine, /*AllowSlack=*/true,
-                              /*AllowAll=*/false, Sel, EngineErr)) {
+    if (!parseEngineSelection(DefaultEngine, /*AllowSlack=*/true, Sel,
+                              EngineErr)) {
       std::cerr << "schedule_service: " << EngineErr << "\n";
       return 2;
     }

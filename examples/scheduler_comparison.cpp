@@ -3,13 +3,10 @@
 /// Cydrome-style baseline and the unidirectional ablation on the
 /// hand-written kernel suite: achieved II and register pressure per loop.
 /// The "II ex" yardstick column comes from an exact engine selected with
-/// --engine {bnb,sat,portfolio,both}; both runs all three engines side by
-/// side and reports any disagreement on the proven-minimal II (there must
-/// be none).
+/// --engine {bnb,sat,portfolio}.
 //===----------------------------------------------------------------------===//
 
 #include "bounds/Lifetimes.h"
-#include "cgra/CgraOracle.h"
 #include "core/ModuloScheduler.h"
 #include "exact/ExactEngine.h"
 #include "service/EngineFlag.h"
@@ -40,106 +37,30 @@ Row runOne(const LoopBody &Body, const MachineModel &Machine,
   return R;
 }
 
-std::string exactIIString(const ExactResult &Exact) {
-  return Exact.Sched.Success ? std::to_string(Exact.Sched.II)
-                             : std::string(exactStatusName(Exact.Status));
-}
-
-/// --cgra mode: the placement-aware slack mapper vs the exact SAT spatial
-/// mapper on the kernel suite, mapped onto \p Cgra. Returns the exit code.
-int runCgraComparison(const CgraModel &Cgra) {
-  TextTable T;
-  T.setHeader({"kernel", "ops", "flatMII", "II slk", "II ex", "status",
-               "gap"});
-  int Disagreements = 0, AboveFlat = 0;
-  for (const LoopBody &Body : buildKernelSuite()) {
-    const DepGraph Graph(Body, Cgra.flatModel());
-    const CgraMapping Heur = mapLoopCgra(Graph, Cgra);
-    const CgraExactResult Exact = mapLoopCgraExact(Graph, Cgra);
-    std::string HeurErr, ExactErr;
-    if (Heur.Success)
-      HeurErr = validateMapping(Graph, Cgra, Heur);
-    if (Exact.Map.Success)
-      ExactErr = validateMapping(Graph, Cgra, Exact.Map);
-    if (!HeurErr.empty() || !ExactErr.empty() ||
-        (Exact.Status == ExactStatus::Optimal && Heur.Success &&
-         Heur.II < Exact.Map.II)) {
-      std::cerr << Body.Name << ": "
-                << (!HeurErr.empty()
-                        ? "heuristic mapping invalid: " + HeurErr
-                    : !ExactErr.empty()
-                        ? "exact mapping invalid: " + ExactErr
-                        : "heuristic II beats a proven-optimal II")
-                << "\n";
-      ++Disagreements;
-    }
-    if (Exact.Status == ExactStatus::Optimal &&
-        Exact.Map.II > Exact.Map.MII)
-      ++AboveFlat;
-    const bool ExactMapped = Exact.Map.Success;
-    T.addRow({Body.Name, std::to_string(Body.numMachineOps()),
-              std::to_string(Exact.Map.MII),
-              Heur.Success ? std::to_string(Heur.II) : "-",
-              ExactMapped ? std::to_string(Exact.Map.II) : "-",
-              exactStatusName(Exact.Status),
-              Heur.Success && ExactMapped
-                  ? std::to_string(Heur.II - Exact.Map.II)
-                  : "-"});
-  }
-
-  std::cout << "Spatial mapping comparison on the kernel suite\n"
-            << "(grid " << Cgra.describe()
-            << ";\n slk = placement-aware slack mapper, ex = exact SAT "
-               "spatial mapper,\n flatMII = flat-machine lower bound, gap "
-               "= slk II - ex II)\n\n";
-  T.print(std::cout);
-  std::cout << "\nKernels whose certified spatial II exceeds the flat MII: "
-            << AboveFlat << " (the grid constraints bind there)\n";
-  return Disagreements == 0 ? 0 : 1;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   ExactOptions ExactConfig;
-  bool Both = false;
-  bool UseCgra = false;
-  CgraModel Cgra = CgraModel::defaultGrid(4, 4);
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--cgra") == 0 && I + 1 < Argc) {
-      std::string GridErr;
-      if (!CgraModel::parseGridArg(Argv[++I], Cgra, GridErr)) {
-        std::cerr << "scheduler_comparison: " << GridErr << "\n";
-        return 1;
-      }
-      UseCgra = true;
-      continue;
-    }
     if (std::strcmp(Argv[I], "--engine") == 0 && I + 1 < Argc) {
       EngineSelection Sel;
       std::string EngineErr;
-      if (!parseEngineSelection(Argv[++I], /*AllowSlack=*/false,
-                                /*AllowAll=*/true, Sel, EngineErr)) {
+      if (!parseEngineSelection(Argv[++I], /*AllowSlack=*/false, Sel,
+                                EngineErr)) {
         std::cerr << "scheduler_comparison: " << EngineErr << "\n";
         return 1;
       }
-      Both = Sel.All;
-      if (!Sel.All)
-        ExactConfig.Engine = Sel.Exact;
+      ExactConfig.Engine = Sel.Exact;
       continue;
     }
     if (applyExactBudgetFlag(Argv[I], ExactConfig))
       continue;
-    std::cerr << "usage: scheduler_comparison "
-                 "[--engine bnb|sat|portfolio|both] [--cgra RxC]\n"
+    std::cerr << "usage: scheduler_comparison [--engine bnb|sat|portfolio]\n"
                  "       [--node-budget=N] [--sat-conflict-budget=N]\n"
                  "       [--maxlive-node-budget=N] "
                  "[--maxlive-conflict-budget=N]\n";
     return 1;
   }
-
-  if (UseCgra)
-    return runCgraComparison(Cgra);
 
   const MachineModel Machine = MachineModel::cydra5();
 
@@ -147,29 +68,12 @@ int main(int Argc, char **Argv) {
   T.setHeader({"kernel", "ops", "MII", "II ex", "II slk", "II cyd", "RR slk",
                "RR uni", "RR cyd"});
   long TotalSlack = 0, TotalUni = 0, TotalCydrome = 0;
-  int Disagreements = 0;
   for (const LoopBody &Body : buildKernelSuite()) {
     const DepGraph Graph(Body, Machine);
     const Schedule Probe = scheduleLoop(Graph);
     // The exact scheduler proves the minimal II, giving the heuristics an
     // absolute yardstick instead of just MII.
     const ExactResult Exact = scheduleLoopExact(Graph, ExactConfig);
-    std::string ExactII = exactIIString(Exact);
-    if (Both) {
-      for (const ExactEngineKind Other :
-           {ExactEngineKind::Sat, ExactEngineKind::Portfolio}) {
-        ExactOptions OtherConfig = ExactConfig;
-        OtherConfig.Engine = Other;
-        const ExactResult R = scheduleLoopExact(Graph, OtherConfig);
-        if (exactIIString(R) != ExactII) {
-          std::cerr << Body.Name << ": engines disagree: bnb " << ExactII
-                    << " vs " << exactEngineName(Other) << " "
-                    << exactIIString(R) << "\n";
-          ++Disagreements;
-          ExactII += "!";
-        }
-      }
-    }
     const Row Slack = runOne(Body, Machine, SchedulerOptions::slack());
     const Row Uni =
         runOne(Body, Machine, SchedulerOptions::unidirectionalSlack());
@@ -178,8 +82,11 @@ int main(int Argc, char **Argv) {
     TotalUni += Uni.MaxLive;
     TotalCydrome += Cyd.MaxLive;
     T.addRow({Body.Name, std::to_string(Body.numMachineOps()),
-              std::to_string(Probe.MII), ExactII, std::to_string(Slack.II),
-              std::to_string(Cyd.II), std::to_string(Slack.MaxLive),
+              std::to_string(Probe.MII),
+              Exact.Sched.Success ? std::to_string(Exact.Sched.II)
+                                  : exactStatusName(Exact.Status),
+              std::to_string(Slack.II), std::to_string(Cyd.II),
+              std::to_string(Slack.MaxLive),
               std::to_string(Uni.MaxLive), std::to_string(Cyd.MaxLive)});
   }
   T.addSeparator();
@@ -194,10 +101,5 @@ int main(int Argc, char **Argv) {
   std::cout << "\nThe paper's claim: the bidirectional heuristics are what "
                "cut register pressure;\nwithout them slack scheduling "
                "behaves like Cydrome's scheduler.\n";
-  if (Both)
-    std::cout << "\nCross-engine check (bnb vs sat vs portfolio): "
-              << (Disagreements == 0 ? "engines agree on every kernel"
-                                     : "DISAGREEMENTS FOUND")
-              << "\n";
-  return Disagreements == 0 ? 0 : 1;
+  return 0;
 }

@@ -3,12 +3,10 @@
 /// \file
 /// The one --engine flag grammar shared by every CLI tool (exact_gap,
 /// irregular_gap, scheduler_comparison, schedule_service, schedule_server),
-/// so the spellings, the "both" sweep selector, and the exact-budget
-/// knobs cannot drift between tools:
+/// so the spellings and the exact-budget knobs cannot drift between tools:
 ///
 ///   --engine bnb|sat|portfolio        an exact engine (every tool)
 ///   --engine slack                    the heuristic (service tools only)
-///   --engine both                     every exact engine (sweep tools)
 ///   --node-budget=N                   ExactOptions::NodeBudget
 ///   --sat-conflict-budget=N           ExactOptions::SatConflictBudget
 ///   --maxlive-node-budget=N           ExactOptions::MaxLiveNodeBudget
@@ -27,50 +25,31 @@
 
 namespace lsms {
 
-/// The result of parsing one --engine value. Exactly one interpretation
-/// holds: All (the "both" sweep), or a single engine readable through
-/// whichever of the two enum views the tool consumes (for the exact
+/// The result of parsing one --engine value: a single engine readable
+/// through whichever of the two enum views the tool consumes (for the exact
 /// spellings the views agree; "slack" is service-only and leaves Exact at
 /// its default).
 struct EngineSelection {
-  bool All = false;
   ServiceEngine Service = ServiceEngine::Slack;
   ExactEngineKind Exact = ExactEngineKind::BranchAndBound;
 };
 
 /// The choices string for usage text, matching what parseEngineSelection
-/// accepts with the same permission flags.
-inline const char *engineFlagChoices(bool AllowSlack, bool AllowAll) {
-  if (AllowSlack && AllowAll)
-    return "slack|bnb|sat|portfolio|both";
-  if (AllowSlack)
-    return "slack|bnb|sat|portfolio";
-  if (AllowAll)
-    return "bnb|sat|portfolio|both";
-  return "bnb|sat|portfolio";
+/// accepts with the same permission flag.
+inline const char *engineFlagChoices(bool AllowSlack) {
+  return AllowSlack ? "slack|bnb|sat|portfolio" : "bnb|sat|portfolio";
 }
 
 /// Parses an --engine value. \p AllowSlack admits "slack" (tools with a
-/// heuristic path); \p AllowAll admits "both" (sweep tools that run every
-/// exact engine). On failure returns false with a caller-printable
+/// heuristic path). On failure returns false with a caller-printable
 /// message in \p Err.
 inline bool parseEngineSelection(const std::string &Name, bool AllowSlack,
-                                 bool AllowAll, EngineSelection &Out,
-                                 std::string &Err) {
+                                 EngineSelection &Out, std::string &Err) {
   Out = EngineSelection();
-  if (Name == "both") {
-    if (!AllowAll) {
-      Err = "engine 'both' is not valid here (choose one of " +
-            std::string(engineFlagChoices(AllowSlack, false)) + ")";
-      return false;
-    }
-    Out.All = true;
-    return true;
-  }
   if (Name == "slack") {
     if (!AllowSlack) {
       Err = "engine 'slack' is not valid here (choose one of " +
-            std::string(engineFlagChoices(false, AllowAll)) + ")";
+            std::string(engineFlagChoices(false)) + ")";
       return false;
     }
     Out.Service = ServiceEngine::Slack;
@@ -79,7 +58,7 @@ inline bool parseEngineSelection(const std::string &Name, bool AllowSlack,
   if (!parseServiceEngine(Name, Out.Service) ||
       !parseExactEngine(Name.c_str(), Out.Exact)) {
     Err = "unknown engine '" + Name + "' (choose one of " +
-          std::string(engineFlagChoices(AllowSlack, AllowAll)) + ")";
+          std::string(engineFlagChoices(AllowSlack)) + ")";
     return false;
   }
   return true;

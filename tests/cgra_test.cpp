@@ -7,8 +7,8 @@
 /// certified spatial II sits strictly above the flat MII.
 //===----------------------------------------------------------------------===//
 
-#include "cgra/CgraOracle.h"
 #include "ir/IRBuilder.h"
+#include "oracle/CgraOracle.h"
 #include "workloads/Kernels.h"
 #include "workloads/Suite.h"
 
@@ -272,7 +272,6 @@ TEST(CgraMapper, KernelSuiteMapsAndValidatesOn4x4) {
 TEST(CgraExact, ParityAndDeterminismOnSmallGrid) {
   CgraOracleOptions Options;
   Options.NumLoops = 12;
-  Options.MinOps = 3;
   Options.MaxOps = 8;
   Options.Cgra = CgraModel::defaultGrid(2, 2);
   Options.IncludeKernels = false;

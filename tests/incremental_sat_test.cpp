@@ -8,7 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "exact/ExactEngine.h"
-#include "exact/Oracle.h"
+#include "oracle/ExactOracle.h"
 #include "sat/SatSolver.h"
 #include "workloads/Suite.h"
 

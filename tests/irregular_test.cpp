@@ -21,7 +21,7 @@
 #include "core/Validate.h"
 #include "frontend/LoopCompiler.h"
 #include "ir/DepGraph.h"
-#include "spec/SpecOracle.h"
+#include "oracle/SpecOracle.h"
 #include "spec/Speculation.h"
 #include "support/Crc32.h"
 #include "support/Rng.h"

@@ -3,18 +3,24 @@
 /// it exists to uphold (DESIGN.md "Parallelism & determinism"): every sweep
 /// that fans out across workers must produce byte-identical reports at any
 /// job count, because results live in per-index slots and are aggregated in
-/// input order.
+/// input order. Also covers the sweep core the three differential oracles
+/// share (oracle/Sweep.h): runSweep, printFindings and hasFinding.
 //===----------------------------------------------------------------------===//
 
-#include "exact/Oracle.h"
+#include "oracle/ExactOracle.h"
+#include "oracle/Sweep.h"
 #include "support/ParallelFor.h"
 #include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <numeric>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace lsms {
@@ -97,6 +103,66 @@ TEST(ParallelDeterminismTest, OracleReportByteIdenticalAcrossJobCounts) {
   EXPECT_FALSE(Seq.empty());
   EXPECT_EQ(Render(2), Seq);
   EXPECT_EQ(Render(hardwareJobs()), Seq);
+}
+
+TEST(SweepCore, RunSweepKeepsLoopOrderAtEveryJobCount) {
+  std::vector<int> Items(40);
+  std::iota(Items.begin(), Items.end(), 0);
+  for (const int Jobs : {1, 3, 16}) {
+    const std::vector<std::string> Cases =
+        runSweep(Items, Jobs, [](const int &I) {
+          // Early items sleep longest, so under threads completion order
+          // runs against item order.
+          std::this_thread::sleep_for(std::chrono::microseconds(40 - I));
+          return "loop" + std::to_string(I) + "/" + std::to_string(I * I);
+        });
+    ASSERT_EQ(Cases.size(), Items.size()) << "jobs=" << Jobs;
+    for (int I = 0; I < 40; ++I)
+      EXPECT_EQ(Cases[static_cast<size_t>(I)],
+                "loop" + std::to_string(I) + "/" + std::to_string(I * I))
+          << "jobs=" << Jobs;
+  }
+}
+
+struct FakeCase {
+  std::string Name;
+  std::vector<Finding> Findings;
+};
+
+TEST(SweepCore, PrintFindingsPrintsOneLinePerFinding) {
+  const std::vector<FakeCase> Cases = {
+      {"a",
+       {{FindingKind::Validation, "heuristic schedule invalid: x"},
+        {FindingKind::Trace, "diverged"}}},
+      {"b", {}},
+      {"c", {{FindingKind::Parity, "parity: y"}}}};
+  std::ostringstream OS;
+  EXPECT_EQ(printFindings(OS, Cases), 3);
+  EXPECT_EQ(OS.str(),
+            "a: heuristic schedule invalid: x\na: diverged\nc: parity: y\n");
+
+  std::ostringstream Clean;
+  EXPECT_EQ(printFindings(Clean, std::vector<FakeCase>{{"b", {}}}), 0);
+  EXPECT_EQ(Clean.str(), "");
+}
+
+TEST(SweepCore, HasFindingTellsKindsApart) {
+  std::vector<Finding> Findings;
+  EXPECT_TRUE(checkValid(Findings, "heuristic schedule", ""));
+  EXPECT_TRUE(Findings.empty()) << "a legal result records nothing";
+  EXPECT_FALSE(hasFinding(Findings, FindingKind::Validation));
+
+  Findings.push_back({FindingKind::Parity, "p"});
+  EXPECT_TRUE(hasFinding(Findings, FindingKind::Parity));
+  EXPECT_FALSE(hasFinding(Findings, FindingKind::Validation));
+  EXPECT_FALSE(hasFinding(Findings, FindingKind::Trace));
+
+  EXPECT_FALSE(checkValid(Findings, "exact mapping", "slot clash"));
+  EXPECT_TRUE(hasFinding(Findings, FindingKind::Validation));
+  EXPECT_EQ(Findings.back().Text, "exact mapping invalid: slot clash");
+  EXPECT_FALSE(hasFinding(Findings, FindingKind::Trace));
+  Findings.push_back({FindingKind::Trace, "t"});
+  EXPECT_TRUE(hasFinding(Findings, FindingKind::Trace));
 }
 
 } // namespace
