@@ -139,9 +139,10 @@ uint64_t mixAux(uint64_t H, uint64_t V) {
   return H ^ (H >> 33);
 }
 
-/// Everything besides the loop itself that determines a slack answer.
-uint64_t slackAux(const ServiceConfig &Config, const SchedulerOptions &O) {
-  uint64_t H = mixAux(0x51acULL, machineFingerprint(Config.Machine));
+/// Everything besides the loop itself that determines a slack answer;
+/// \p MachineHash is machineFingerprint of the service's machine.
+uint64_t slackAux(uint64_t MachineHash, const SchedulerOptions &O) {
+  uint64_t H = mixAux(0x51acULL, MachineHash);
   H = mixAux(H, O.DynamicPriority);
   H = mixAux(H, O.Bidirectional);
   H = mixAux(H, O.RecurrencesFirst);
@@ -158,8 +159,8 @@ uint64_t slackAux(const ServiceConfig &Config, const SchedulerOptions &O) {
 /// Everything besides the loop itself that determines an exact answer.
 /// The deadline is deliberately absent: deadline-shortened outcomes are
 /// never cached.
-uint64_t exactAux(const ServiceConfig &Config, const ExactOptions &O) {
-  uint64_t H = mixAux(0xe8acULL, machineFingerprint(Config.Machine));
+uint64_t exactAux(uint64_t MachineHash, const ExactOptions &O) {
+  uint64_t H = mixAux(0xe8acULL, MachineHash);
   H = mixAux(H, static_cast<uint64_t>(O.Engine));
   H = mixAux(H, static_cast<uint64_t>(O.NodeBudget));
   H = mixAux(H, static_cast<uint64_t>(O.SatConflictBudget));
@@ -206,7 +207,9 @@ private:
 };
 
 SchedulingService::SchedulingService(ServiceConfig ConfigIn)
-    : Config(std::move(ConfigIn)), Jobs(resolveJobs(Config.Jobs)),
+    : Config(std::move(ConfigIn)),
+      MachineHash(machineFingerprint(Config.Machine)),
+      Jobs(resolveJobs(Config.Jobs)),
       Cache(Config.CacheCapacity, Config.CacheShards),
       Front(Config.FrontCacheCapacity, Config.CacheShards) {
   if (!Config.StorePath.empty() &&
@@ -287,8 +290,8 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
     for (const char C : Req.Source)
       Lo = mixAux(Lo, static_cast<unsigned char>(C));
     uint64_t Aux = mixAux(0xf307ULL, static_cast<uint64_t>(Req.Engine));
-    Aux = mixAux(Aux, slackAux(Config, Config.Slack));
-    Aux = mixAux(Aux, exactAux(Config, Config.Exact));
+    Aux = mixAux(Aux, slackAux(MachineHash, Config.Slack));
+    Aux = mixAux(Aux, exactAux(MachineHash, Config.Exact));
     Aux = mixAux(Aux, static_cast<uint64_t>(Req.MaxII));
     Aux = mixAux(Aux, Req.DeadlineMs == 0);
     Aux = mixAux(Aux, Req.EmitTimes);
@@ -442,7 +445,7 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
       EO.IICap.MaxIIFactor = 0;
       EO.IICap.MaxIISlack = Req.MaxII;
     }
-    const CacheKey CK{KeyHi, KeyLo, exactAux(Config, EO)};
+    const CacheKey CK{KeyHi, KeyLo, exactAux(MachineHash, EO)};
     if (Cache.lookup(CK, Result)) {
       HaveResult = true;
       Resp.ExactVerdict = Result.Status;
@@ -501,7 +504,7 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
       SO.IICap.MaxIIFactor = 0;
       SO.IICap.MaxIISlack = Req.MaxII;
     }
-    const CacheKey SK{KeyHi, KeyLo, slackAux(Config, SO)};
+    const CacheKey SK{KeyHi, KeyLo, slackAux(MachineHash, SO)};
     if (!Cache.lookup(SK, Result)) {
       if (Store.get(SK, Result)) {
         Metrics.inc("store_hits");

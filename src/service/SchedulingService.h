@@ -237,6 +237,9 @@ private:
   class InFlightGuard;
 
   ServiceConfig Config;
+  /// machineFingerprint(Config.Machine), folded into every cache key's aux
+  /// hash; fixed for the service's lifetime, so computed once.
+  uint64_t MachineHash;
   int Jobs;
   ScheduleCache Cache;
   /// Request-level memo: rendered responses keyed by raw payload text.
